@@ -5,7 +5,8 @@
 //! selects an octave and the top [`SUB_BITS`] mantissa bits select one
 //! of [`SUBS`] linear sub-buckets inside it, so every bucket spans at
 //! most `1/16` of its value — quantile estimates are upper bucket
-//! bounds and therefore within `+6.25 %` of the true order statistic.
+//! bounds clamped to the observed `[min, max]`, and therefore within
+//! `+6.25 %` of the true order statistic and never outside the data.
 //! The exponent range is clamped to `[MIN_EXP, MAX_EXP]`
 //! (≈ 2.3e-10 … 1.8e19), which covers every quantity the pipeline
 //! records (nanoseconds to bytes); out-of-range values saturate into
@@ -171,10 +172,11 @@ impl LogHistogram {
     }
 
     /// Quantile estimate: the upper bound of the bucket holding the
-    /// `q`-th order statistic of the positive samples. Guaranteed in
-    /// `[v, v * (1 + 1/SUBS)]` for the true order statistic `v`
-    /// (within the clamped exponent range). Returns 0 for an empty
-    /// histogram; `q` is clamped to `[0, 1]`.
+    /// `q`-th order statistic of the positive samples, clamped to the
+    /// observed `[min, max]`. Guaranteed in `[v, v * (1 + 1/SUBS)]`
+    /// for the true order statistic `v` (within the clamped exponent
+    /// range), and monotone in `q`. Returns 0 for an empty histogram;
+    /// `q` is clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -186,7 +188,7 @@ impl LogHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return upper_bound(i);
+                return upper_bound(i).clamp(self.min, self.max);
             }
         }
         self.max

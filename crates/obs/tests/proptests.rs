@@ -1,7 +1,8 @@
 //! Property-based tests for `vqd-obs`: histogram merges are
 //! shard-invariant, counters sum exactly across threads, quantile
-//! estimates stay within one sub-bucket of the true order statistic,
-//! and the Chrome trace export round-trips through the JSON module.
+//! estimates stay within one sub-bucket of the true order statistic
+//! and inside the observed range, and the Chrome trace export
+//! round-trips through the JSON module.
 
 use proptest::prelude::*;
 
@@ -126,6 +127,22 @@ proptest! {
             let bound = truth * (1.0 + 1.0 / SUBS as f64) * (1.0 + 1e-12);
             prop_assert!(est <= bound, "estimate {est} above bucket bound {bound} (truth {truth})");
         }
+    }
+
+    /// Quantile estimates stay inside the observed range and keep
+    /// their order: min ≤ p50 ≤ p99 ≤ max.
+    #[test]
+    fn quantiles_are_ordered_within_extrema(
+        vals in prop::collection::vec(1e-6f64..1e12, 1..300),
+    ) {
+        let mut h = LogHistogram::new();
+        for &v in &vals {
+            h.record(v);
+        }
+        let (p50, p99) = (h.quantile(0.50), h.quantile(0.99));
+        prop_assert!(h.min() <= p50, "p50 {p50} below min {}", h.min());
+        prop_assert!(p50 <= p99, "p50 {p50} above p99 {p99}");
+        prop_assert!(p99 <= h.max(), "p99 {p99} above max {}", h.max());
     }
 
     /// The Chrome export parses with the in-crate JSON module, passes

@@ -106,8 +106,11 @@ pub trait App {
 enum Ev {
     /// A link's transmitter finished serialising its in-flight packet.
     LinkTxDone { link: LinkId },
-    /// A packet completed propagation and arrives at the link's far end.
-    Deliver { link: LinkId, pkt: Packet },
+    /// The head of a link's propagation FIFO arrives at the far end.
+    /// The packet stays in the link (see [`OneWayLink`]); only the head
+    /// has a queue entry, so entries stay small and the queue holds one
+    /// per busy link instead of one per packet in flight.
+    Deliver { link: LinkId },
     /// TCP retransmission/persist timer entry. `wheel_gen` identifies
     /// the entry against its per-flow [`TimerSlot`]; a mismatch means
     /// the entry was superseded and is dropped without touching the
@@ -122,6 +125,9 @@ enum Ev {
     /// Periodic shared-medium state update.
     MediumTick { medium: MediumId },
 }
+
+// No packet rides in an event, so a queue entry is 32 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// The deadline a TCP timer slot is armed for.
 #[derive(Debug, Clone, Copy)]
@@ -218,9 +224,13 @@ pub struct Network {
     queue: EventQueue<Ev>,
     /// Per-flow `[client, server]` retransmission-timer slots.
     tcp_timers: Vec<[TimerSlot; 2]>,
-    /// Queued events that are neither medium ticks nor timer entries
+    /// Scheduled events that are neither medium ticks nor timer entries
     /// (maintained for [`Harness::idle`]).
     pending_other: usize,
+    /// Packets in propagation behind their link's head: scheduled
+    /// deliveries with no queue entry yet. Queue length plus this is
+    /// the number of scheduled, not yet dispatched events.
+    parked: usize,
     stats: SchedStats,
     seq: u64,
     now: SimTime,
@@ -264,6 +274,7 @@ impl Network {
             queue,
             tcp_timers: std::mem::take(&mut arena.tcp_timers),
             pending_other: 0,
+            parked: 0,
             stats: SchedStats::default(),
             seq: 0,
             now: SimTime::ZERO,
@@ -291,6 +302,17 @@ impl Network {
         let s = &self.stats;
         r.counter_add("simnet.sched.scheduled", s.scheduled);
         r.counter_add("simnet.sched.dispatched", s.dispatched);
+        r.counter_add(
+            "simnet.sched.dispatched.link_tx_done",
+            s.dispatched_link_tx_done,
+        );
+        r.counter_add("simnet.sched.dispatched.deliver", s.dispatched_deliver);
+        r.counter_add("simnet.sched.dispatched.tcp_timer", s.dispatched_tcp_timer);
+        r.counter_add("simnet.sched.dispatched.app_timer", s.dispatched_app_timer);
+        r.counter_add(
+            "simnet.sched.dispatched.medium_tick",
+            s.dispatched_medium_tick,
+        );
         r.counter_add("simnet.sched.timer_arms", s.timer_arms);
         r.counter_add("simnet.sched.timer_cancelled", s.timer_cancelled);
         r.counter_add("simnet.sched.timer_rescheduled", s.timer_rescheduled);
@@ -406,9 +428,11 @@ impl Network {
         self.stats
     }
 
-    /// Number of queued events (including lazily cancelled timers).
+    /// Number of scheduled, not yet dispatched events (including
+    /// lazily cancelled timers and packets parked behind their link's
+    /// propagation head).
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.parked
     }
 
     /// Current simulated time.
@@ -576,12 +600,10 @@ impl Network {
         match link.enqueue(pkt) {
             EnqueueOutcome::AcceptedIdle => self.start_tx(link_id),
             EnqueueOutcome::AcceptedQueued => {}
-            EnqueueOutcome::Dropped => {
-                // Counter already incremented inside enqueue; the
-                // observer is told so router-side probes can count
-                // local congestion drops. We need the packet back for
-                // that — reconstructing is cheap since enqueue consumed
-                // it only on success.
+            EnqueueOutcome::Dropped(pkt) => {
+                // The link counted the drop; the observer is told so
+                // router-side probes can count local congestion drops.
+                obs.on_drop(self.now, link_id, &pkt, DropKind::Queue);
             }
         }
     }
@@ -636,13 +658,22 @@ impl Network {
             }
         };
         if delivered {
-            // FIFO guarantee: never deliver before an earlier packet on
-            // the same link.
-            let link = &mut self.links[link_id.idx()];
-            let at = (self.now + delay).max(link.last_delivery);
-            link.last_delivery = at;
-            let delay = at - self.now;
-            self.schedule(delay, Ev::Deliver { link: link_id, pkt });
+            // Scheduled like any event — same seq draw, same counters —
+            // but the packet waits in the link's propagation FIFO and
+            // only a new head gets a queue entry. The FIFO is in
+            // `(at, seq)` order: arrival times never decrease on a link
+            // and seq always increases, so the head is the link's
+            // earliest delivery and every packet still dispatches at
+            // its own key.
+            self.seq += 1;
+            self.pending_other += 1;
+            self.stats.scheduled += 1;
+            let seq = self.seq;
+            let at = self.now + delay;
+            match self.links[link_id.idx()].start_propagation(at, seq, pkt) {
+                Some(at) => self.queue.push(at.0, seq, Ev::Deliver { link: link_id }),
+                None => self.parked += 1,
+            }
         } else {
             self.links[link_id.idx()].ctr.drop_loss_pkts += 1;
             obs.on_drop(self.now, link_id, &pkt, DropKind::Loss);
@@ -652,14 +683,23 @@ impl Network {
         }
     }
 
-    fn deliver<O: PacketObserver + ?Sized>(&mut self, link_id: LinkId, pkt: Packet, obs: &mut O) {
-        let l = &self.links[link_id.idx()];
-        let to = if l.shared_to_dst { pkt.dst } else { l.to };
-        {
-            let link = &mut self.links[link_id.idx()];
-            link.ctr.delivered_pkts += 1;
-            link.ctr.delivered_bytes += pkt.size as u64;
+    /// Deliver the head of `link_id`'s propagation FIFO, dispatched
+    /// at key `(now, seq)`, after queueing the next head.
+    fn deliver<O: PacketObserver + ?Sized>(&mut self, link_id: LinkId, seq: u64, obs: &mut O) {
+        let link = &mut self.links[link_id.idx()];
+        let (at, head_seq, pkt) = link.end_propagation();
+        debug_assert_eq!(
+            (at, head_seq),
+            (self.now, seq),
+            "propagation FIFO out of order"
+        );
+        if let Some((at, seq)) = link.propagation_head() {
+            self.parked -= 1;
+            self.queue.push(at.0, seq, Ev::Deliver { link: link_id });
         }
+        let to = if link.shared_to_dst { pkt.dst } else { link.to };
+        link.ctr.delivered_pkts += 1;
+        link.ctr.delivered_bytes += pkt.size as u64;
         obs.observe(
             self.now,
             TapPoint {
@@ -765,7 +805,7 @@ impl Network {
     fn handle<O: PacketObserver + ?Sized>(&mut self, ev: Ev, seq: u64, obs: &mut O) {
         match ev {
             Ev::LinkTxDone { link } => self.link_tx_done(link, obs),
-            Ev::Deliver { link, pkt } => self.deliver(link, pkt, obs),
+            Ev::Deliver { link } => self.deliver(link, seq, obs),
             Ev::TcpTimer {
                 flow,
                 side,
@@ -963,7 +1003,6 @@ impl<'a> Ctl<'a> {
                 src_port,
                 len,
             },
-            self.net.now,
         );
         self.net.inject(pkt, self.obs);
     }
@@ -1109,11 +1148,19 @@ impl<O: PacketObserver> Harness<O> {
         self.drain_notes();
         while let Some((at, seq, ev)) = self.net.queue.pop_before(t.0) {
             self.net.now = SimTime(at);
-            self.net.stats.dispatched += 1;
-            let occ = self.net.queue.len() as u64;
-            self.net.stats.occupancy_sum += occ;
-            if occ > self.net.stats.occupancy_peak {
-                self.net.stats.occupancy_peak = occ;
+            let occ = self.net.pending_events() as u64;
+            let s = &mut self.net.stats;
+            s.dispatched += 1;
+            match ev {
+                Ev::LinkTxDone { .. } => s.dispatched_link_tx_done += 1,
+                Ev::Deliver { .. } => s.dispatched_deliver += 1,
+                Ev::TcpTimer { .. } => s.dispatched_tcp_timer += 1,
+                Ev::AppTimer { .. } => s.dispatched_app_timer += 1,
+                Ev::MediumTick { .. } => s.dispatched_medium_tick += 1,
+            }
+            s.occupancy_sum += occ;
+            if occ > s.occupancy_peak {
+                s.occupancy_peak = occ;
             }
             if !matches!(ev, Ev::MediumTick { .. } | Ev::TcpTimer { .. }) {
                 self.net.pending_other -= 1;
@@ -1316,6 +1363,22 @@ mod tests {
 
     #[test]
     fn bottleneck_queue_causes_congestion_drops() {
+        /// Counts drops the observer is told about, by kind.
+        #[derive(Default)]
+        struct Drops {
+            queue: u64,
+            loss: u64,
+        }
+        impl PacketObserver for Drops {
+            fn observe(&mut self, _n: SimTime, _t: TapPoint, _p: &Packet) {}
+            fn on_drop(&mut self, _n: SimTime, _l: LinkId, _p: &Packet, kind: DropKind) {
+                match kind {
+                    DropKind::Queue => self.queue += 1,
+                    DropKind::Loss => self.loss += 1,
+                    DropKind::NoRoute => {}
+                }
+            }
+        }
         // 100 Mbit/s feeding a 2 Mbit/s bottleneck with a small queue.
         let mut tb = TopologyBuilder::new();
         let a = tb.add_host("client");
@@ -1325,8 +1388,9 @@ mod tests {
         let mut thin = LinkConfig::ethernet(2_000_000);
         thin.queue_bytes = 16_000;
         tb.add_duplex_link(r, b, thin);
-        let net = tb.build();
-        let mut sim = Harness::new(net, 5);
+        let mut net = tb.build();
+        net.rng = SimRng::seed_from_u64(5);
+        let mut sim = Harness::with_observer(net, Drops::default());
         sim.add_app(Box::new(Client {
             client: a,
             server: b,
@@ -1349,6 +1413,11 @@ mod tests {
         );
         let f = sim.net.flow(FlowId(0)).unwrap();
         assert!(f.endpoint(Side::Server).stats.retx_pkts > 0);
+        // Every tail drop reaches the observer, and nothing else is
+        // reported as one.
+        let tail: u64 = sim.net.links.iter().map(|l| l.ctr.drop_tail_pkts).sum();
+        assert_eq!(sim.obs.queue, tail);
+        assert_eq!(sim.obs.loss, 0, "clean links lose nothing at random");
     }
 
     #[test]
@@ -1558,5 +1627,81 @@ mod tests {
         );
         assert!(!wheel.is_empty());
         assert_eq!(wheel, heap, "wheel and heap packet traces diverge");
+    }
+
+    #[test]
+    fn per_kind_dispatch_counts_sum_and_match_across_schedulers() {
+        use crate::medium::PerfectMedium;
+        use crate::sched::SchedulerKind;
+
+        /// Sends one UDP datagram every 10 ms for the first 200 ms.
+        struct Pinger {
+            src: HostId,
+            dst: HostId,
+        }
+        impl App for Pinger {
+            fn start(&mut self, ctl: &mut Ctl) {
+                ctl.timer(SimDuration::from_millis(10), 0);
+            }
+            fn on_timer(&mut self, _t: u64, ctl: &mut Ctl) {
+                ctl.udp_send(self.src, self.dst, 1000, 5001, 600);
+                if ctl.now() < SimTime::from_millis(200) {
+                    ctl.timer(SimDuration::from_millis(10), 0);
+                }
+            }
+        }
+        // A lossy 20 ms path keeps many packets in propagation at once
+        // and exercises TCP timers; a free-standing medium adds ticks.
+        let run = |kind: SchedulerKind| -> (SchedStats, bool) {
+            let mut lossy = LinkConfig::ethernet(5_000_000);
+            lossy.loss = 0.02;
+            lossy.delay = SimDuration::from_millis(20);
+            let mut tb = TopologyBuilder::new();
+            let a = tb.add_host("client");
+            let b = tb.add_host("server");
+            tb.add_duplex_link_asym(a, b, LinkConfig::ethernet(5_000_000), lossy);
+            let mut net = tb.build();
+            net.set_scheduler(kind);
+            net.add_medium(Box::new(PerfectMedium::new(54_000_000)));
+            let mut sim = Harness::new(net, 7);
+            sim.add_app(Box::new(Client {
+                client: a,
+                server: b,
+                got: 0,
+                flow: None,
+                done_at: None,
+            }));
+            sim.add_app(Box::new(Server {
+                host: b,
+                reply: 300_000,
+            }));
+            sim.add_app(Box::new(Pinger { src: b, dst: a }));
+            let mut parked_seen = false;
+            for ms in (10..=120_000).step_by(10) {
+                sim.run_until(SimTime::from_millis(ms));
+                parked_seen |= sim.net.pending_events() > sim.net.queue.len();
+            }
+            assert!(sim.net.flow_stats(FlowId(0)).unwrap().complete);
+            (sim.sched_stats(), parked_seen)
+        };
+        let (wheel, parked_seen) = run(SchedulerKind::TimerWheel);
+        let (heap, _) = run(SchedulerKind::BinaryHeap);
+        let kinds = [
+            wheel.dispatched_link_tx_done,
+            wheel.dispatched_deliver,
+            wheel.dispatched_tcp_timer,
+            wheel.dispatched_app_timer,
+            wheel.dispatched_medium_tick,
+        ];
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "an event kind never ran: {wheel:?}"
+        );
+        assert_eq!(kinds.iter().sum::<u64>(), wheel.dispatched);
+        assert!(
+            parked_seen,
+            "no packet ever waited behind a propagation head"
+        );
+        assert_eq!(wheel, heap, "wheel and heap stats diverge");
     }
 }

@@ -171,10 +171,15 @@ pub struct OneWayLink {
     queued_bytes: u32,
     /// Packet currently being serialised, if any.
     in_flight: Option<Packet>,
+    /// Packets in propagation, in arrival order, each with the
+    /// `(at, seq)` key its delivery dispatches at. Only the head has an
+    /// event-queue entry; the engine queues the next one when the head
+    /// is delivered.
+    propagating: VecDeque<(SimTime, u64, Packet)>,
     /// Latest scheduled delivery time — links are FIFO, so jittered
     /// delays never reorder packets (they compress into bursts
     /// instead, like a real queueing path).
-    pub last_delivery: SimTime,
+    last_delivery: SimTime,
     /// Gilbert–Elliott loss state: currently inside a loss burst.
     loss_bad: bool,
     /// Counters for probes.
@@ -189,8 +194,9 @@ pub enum EnqueueOutcome {
     AcceptedIdle,
     /// Accepted behind other packets.
     AcceptedQueued,
-    /// Dropped at the tail (queue full).
-    Dropped,
+    /// Dropped at the tail (queue full); the packet is handed back so
+    /// the caller can report it.
+    Dropped(Packet),
 }
 
 impl OneWayLink {
@@ -205,6 +211,7 @@ impl OneWayLink {
             queue: VecDeque::new(),
             queued_bytes: 0,
             in_flight: None,
+            propagating: VecDeque::new(),
             last_delivery: SimTime::ZERO,
             loss_bad: false,
             ctr: LinkCounters::default(),
@@ -215,7 +222,7 @@ impl OneWayLink {
     pub fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome {
         if self.queued_bytes + pkt.size > self.cfg.queue_bytes {
             self.ctr.drop_tail_pkts += 1;
-            return EnqueueOutcome::Dropped;
+            return EnqueueOutcome::Dropped(pkt);
         }
         self.ctr.enq_pkts += 1;
         self.ctr.enq_bytes += pkt.size as u64;
@@ -243,6 +250,37 @@ impl OneWayLink {
         self.in_flight
             .take()
             .expect("finish_tx with nothing in flight")
+    }
+
+    /// Put a transmitted packet into propagation. It arrives at `at`,
+    /// or with the last packet still ahead of it if that one arrives
+    /// later: links never reorder. `seq` is the engine sequence number
+    /// its delivery dispatches at. Returns the arrival time if the
+    /// packet is now the head (the caller queues its delivery), `None`
+    /// if it waits behind another packet in propagation.
+    pub(crate) fn start_propagation(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        pkt: Packet,
+    ) -> Option<SimTime> {
+        let at = at.max(self.last_delivery);
+        self.last_delivery = at;
+        self.propagating.push_back((at, seq, pkt));
+        (self.propagating.len() == 1).then_some(at)
+    }
+
+    /// Remove the head packet in propagation, with its `(at, seq)` key.
+    /// Panics if nothing is propagating (engine bug).
+    pub(crate) fn end_propagation(&mut self) -> (SimTime, u64, Packet) {
+        self.propagating
+            .pop_front()
+            .expect("end_propagation with nothing propagating")
+    }
+
+    /// The `(at, seq)` key of the head packet in propagation, if any.
+    pub(crate) fn propagation_head(&self) -> Option<(SimTime, u64)> {
+        self.propagating.front().map(|&(at, seq, _)| (at, seq))
     }
 
     /// Whether another packet is waiting behind the transmitter.
@@ -337,7 +375,6 @@ mod tests {
                 tsecr: SimTime::ZERO,
                 is_retx: false,
             },
-            SimTime::ZERO,
         )
     }
 
@@ -349,7 +386,7 @@ mod tests {
         assert_eq!(l.enqueue(pkt(1460)), EnqueueOutcome::AcceptedIdle);
         assert_eq!(l.enqueue(pkt(1460)), EnqueueOutcome::AcceptedQueued);
         // Third 1512-byte packet exceeds the 4000-byte budget.
-        assert_eq!(l.enqueue(pkt(1460)), EnqueueOutcome::Dropped);
+        assert_eq!(l.enqueue(pkt(1460)), EnqueueOutcome::Dropped(pkt(1460)));
         assert_eq!(l.ctr.drop_tail_pkts, 1);
         assert_eq!(l.ctr.enq_pkts, 2);
     }
@@ -367,6 +404,26 @@ mod tests {
         let done = l.finish_tx();
         assert_eq!(done.payload_len(), 100);
         assert!(!l.is_busy());
+    }
+
+    #[test]
+    fn propagation_is_fifo_with_head_only_keys() {
+        let mut l = OneWayLink::new(HostId(0), HostId(1), LinkConfig::ethernet(1_000_000));
+        let t = SimTime::from_millis;
+        assert_eq!(l.start_propagation(t(5), 1, pkt(100)), Some(t(5)));
+        // A shorter jittered delay still arrives behind the head.
+        assert_eq!(l.start_propagation(t(3), 2, pkt(200)), None);
+        assert_eq!(l.start_propagation(t(9), 3, pkt(300)), None);
+        let (at, seq, p) = l.end_propagation();
+        assert_eq!((at, seq, p.payload_len()), (t(5), 1, 100));
+        assert_eq!(l.propagation_head(), Some((t(5), 2)));
+        l.end_propagation();
+        assert_eq!(l.propagation_head(), Some((t(9), 3)));
+        l.end_propagation();
+        assert_eq!(l.propagation_head(), None);
+        // Empty again: the next packet is a head, but still no earlier
+        // than the last arrival.
+        assert_eq!(l.start_propagation(t(1), 4, pkt(100)), Some(t(9)));
     }
 
     #[test]

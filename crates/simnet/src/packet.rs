@@ -113,7 +113,7 @@ pub enum TransportHdr {
 }
 
 /// A packet in flight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Originating host.
     pub src: HostId,
@@ -123,31 +123,26 @@ pub struct Packet {
     pub size: u32,
     /// Transport header.
     pub hdr: TransportHdr,
-    /// Time the packet was first created (for end-to-end latency
-    /// accounting; not visible to protocol logic).
-    pub created: SimTime,
 }
 
 impl Packet {
     /// Build a TCP packet; wire size = payload + [`TCP_HEADER_BYTES`].
-    pub fn tcp(src: HostId, dst: HostId, hdr: TcpHdr, created: SimTime) -> Packet {
+    pub fn tcp(src: HostId, dst: HostId, hdr: TcpHdr) -> Packet {
         Packet {
             src,
             dst,
             size: hdr.len + TCP_HEADER_BYTES,
             hdr: TransportHdr::Tcp(hdr),
-            created,
         }
     }
 
     /// Build a UDP packet; wire size = payload + [`UDP_HEADER_BYTES`].
-    pub fn udp(src: HostId, dst: HostId, hdr: UdpHdr, created: SimTime) -> Packet {
+    pub fn udp(src: HostId, dst: HostId, hdr: UdpHdr) -> Packet {
         Packet {
             src,
             dst,
             size: hdr.len + UDP_HEADER_BYTES,
             hdr: TransportHdr::Udp(hdr),
-            created,
         }
     }
 
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn tcp_packet_size_includes_overhead() {
-        let p = Packet::tcp(HostId(0), HostId(1), dummy_tcp_hdr(1460), SimTime::ZERO);
+        let p = Packet::tcp(HostId(0), HostId(1), dummy_tcp_hdr(1460));
         assert_eq!(p.size, 1460 + TCP_HEADER_BYTES);
         assert_eq!(p.payload_len(), 1460);
         assert!(p.tcp_hdr().is_some());
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn pure_ack_is_header_only() {
-        let p = Packet::tcp(HostId(0), HostId(1), dummy_tcp_hdr(0), SimTime::ZERO);
+        let p = Packet::tcp(HostId(0), HostId(1), dummy_tcp_hdr(0));
         assert_eq!(p.size, TCP_HEADER_BYTES);
         assert_eq!(p.payload_len(), 0);
     }
@@ -212,7 +207,7 @@ mod tests {
             src_port: 40000,
             len: 1000,
         };
-        let p = Packet::udp(HostId(2), HostId(3), h, SimTime::ZERO);
+        let p = Packet::udp(HostId(2), HostId(3), h);
         assert_eq!(p.size, 1000 + UDP_HEADER_BYTES);
         assert!(p.tcp_hdr().is_none());
     }

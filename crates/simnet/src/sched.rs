@@ -84,12 +84,31 @@ pub fn default_scheduler() -> SchedulerKind {
 }
 
 /// Scheduler observability counters, exposed by `Network::sched_stats`.
-#[derive(Debug, Default, Clone, Copy)]
+///
+/// Every count is a pure function of the run, so the wheel and the
+/// heap oracle report identical stats for the same scenario.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Queue entries pushed (events + timer entries actually enqueued).
+    /// Events scheduled: queue entries pushed, plus packet deliveries
+    /// parked behind their link's propagation head (each of those is
+    /// queued later, when it becomes the head, and is counted once).
     pub scheduled: u64,
-    /// Queue entries popped and dispatched (including timer no-ops).
+    /// Events dispatched (including timer no-ops). Equals the sum of
+    /// the five per-kind `dispatched_*` counts below.
     pub dispatched: u64,
+    /// Dispatched link transmit completions: a transmitter finished
+    /// serialising a packet.
+    pub dispatched_link_tx_done: u64,
+    /// Dispatched deliveries: a packet reached a link's far end.
+    pub dispatched_deliver: u64,
+    /// Dispatched TCP timer entries, stale, cancelled and hopped ones
+    /// included.
+    pub dispatched_tcp_timer: u64,
+    /// Dispatched application timers (players, traffic sources, fault
+    /// controllers, probe samplers).
+    pub dispatched_app_timer: u64,
+    /// Dispatched once-per-second shared-medium ticks.
+    pub dispatched_medium_tick: u64,
     /// TCP timer arms requested (most reuse an existing queue entry).
     pub timer_arms: u64,
     /// Timer entries that fired into a cancelled/disarmed slot.
@@ -98,10 +117,11 @@ pub struct SchedStats {
     pub timer_rescheduled: u64,
     /// Superseded timer entries dropped without any slot lookup work.
     pub timer_stale: u64,
-    /// Sum of queue length sampled after each dispatch (mean occupancy
-    /// = `occupancy_sum / dispatched`).
+    /// Sum of scheduled, not yet dispatched events (parked deliveries
+    /// included), sampled after each pop (mean occupancy =
+    /// `occupancy_sum / dispatched`).
     pub occupancy_sum: u64,
-    /// Peak queue length observed after a dispatch.
+    /// Peak of the same count.
     pub occupancy_peak: u64,
 }
 

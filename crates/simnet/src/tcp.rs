@@ -418,7 +418,7 @@ impl TcpFlow {
         let hdr = self.hdr(side, seq, len, flags, now, is_retx);
         let src = self.ep[side.idx()].host;
         let dst = self.ep[side.other().idx()].host;
-        out.packets.push(Packet::tcp(src, dst, hdr, now));
+        out.packets.push(Packet::tcp(src, dst, hdr));
     }
 
     fn arm_timer(&mut self, side: Side, now: SimTime, out: &mut TcpActions) {
